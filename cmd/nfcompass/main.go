@@ -66,7 +66,7 @@ func main() {
 	rxWorkers := flag.Int("rx-workers", 0,
 		"parallel ingress for the -source nic run: split the source into up to this many readers feeding one RX worker per queue over SPSC rings, with per-shard egress drains (0 = auto: one reader per queue; 1 = classic single-reader pump, the A/B lever)")
 	serve := flag.String("serve", "",
-		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace /decisions /debug/pprof) on this address, e.g. :9090")
+		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /spans /trace.chrome /bottleneck /decisions /debug/pprof) on this address, e.g. :9090")
 	fleet := flag.Bool("fleet", false,
 		"with -serve: run the multi-tenant control plane instead of a fixed deployment — the chain argument becomes tenant \"default\" revision 1, and the admin server additionally mounts the /chains endpoints for nfctl (submit, status, rollout watch, rollback)")
 	duration := flag.Duration("duration", 30*time.Second,

@@ -44,10 +44,11 @@ type serveOpts struct {
 
 // runServe is the `-serve` continuous mode: deploy the chain onto the live
 // dataplane, keep traffic flowing for the configured duration while the
-// telemetry server exposes /metrics, /snapshot, /healthz, /trace,
-// /decisions, and /debug/pprof, shift the traffic profile halfway through so
-// the attached Adaptor has a drift to react to, then drain and print the
-// final snapshot plus the decision journal.
+// telemetry server exposes /metrics, /snapshot, /healthz, /spans,
+// /trace.chrome, /bottleneck, /decisions, and /debug/pprof, shift the
+// traffic profile halfway through so the attached Adaptor has a drift to
+// react to, then drain and print the final snapshot plus the decision
+// journal.
 //
 // d is the deployment the pipeline runs; deploy builds structurally
 // identical replicas (extra shards, and a separate instance for the Adaptor
@@ -73,7 +74,6 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	ring := dataplane.NewRingTrace(1 << 14)
 	// Flight recorder: stage spans + utilization sampling for the whole
 	// run, served at /trace.chrome, /spans, /bottleneck and folded into
 	// /metrics. -no-flight is the A/B lever for its overhead.
@@ -83,7 +83,7 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		rec = flight.New(flight.Config{})
 		smp = flight.NewSampler(rec, flight.DefaultSampleInterval)
 	}
-	cfg := dataplane.Config{PreserveOrder: true, Metrics: true, Trace: ring,
+	cfg := dataplane.Config{PreserveOrder: true, Metrics: true,
 		DisableCompile: o.noCompile, Flight: rec}
 	if d.Alloc != nil {
 		cfg.Assignment = d.Assignment
@@ -131,7 +131,6 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 	srv, err := telemetry.New(telemetry.Config{
 		Source:   eng,
 		Done:     eng.Done(),
-		Trace:    ring,
 		Journal:  adaptor.Journal(),
 		Interval: time.Second,
 		Flight:   rec,
@@ -150,7 +149,7 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		srv.Shutdown(sctx)
 	}()
 	smp.Start()
-	fmt.Printf("\ntelemetry plane on http://%s  (/metrics /snapshot /healthz /trace /trace.chrome /spans /bottleneck /decisions /debug/pprof)\n", addr)
+	fmt.Printf("\ntelemetry plane on http://%s  (/metrics /snapshot /healthz /spans /trace.chrome /bottleneck /decisions /debug/pprof)\n", addr)
 
 	drained := make(chan struct{})
 	go func() {

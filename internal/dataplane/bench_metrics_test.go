@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/spec"
@@ -51,8 +52,8 @@ func BenchmarkPipelineMetricsOverhead(b *testing.B) {
 	b.Run("metrics=sampled8", func(b *testing.B) {
 		benchRun(b, g, base, Config{Metrics: true, TimingSample: 8})
 	})
-	b.Run("metrics+trace", func(b *testing.B) {
-		benchRun(b, g, base, Config{Metrics: true, Trace: NewRingTrace(1 << 16)})
+	b.Run("metrics+flight", func(b *testing.B) {
+		benchRun(b, g, base, Config{Metrics: true, Flight: flight.New(flight.Config{})})
 	})
 }
 

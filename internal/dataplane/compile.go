@@ -13,17 +13,18 @@ package dataplane
 //
 // Two execution paths, chosen per batch:
 //
-//   - Direct (metrics and trace both off): the pure fast path. The head
+//   - Direct (metrics and flight both off): the pure fast path. The head
 //     forwards the tail's output straight to the tail's successors; member
 //     goroutines never see the batch. Zero allocations in steady state
 //     (guarded by TestCompiledHotPathAllocs).
-//   - Traced (metrics or trace on): after the inline execution, a
+//   - Observed (metrics or flight on): after the inline execution, a
 //     pass-through marker — the same workItem machinery fused GPU segments
 //     use — walks the member goroutines so each books its own recorded
-//     share (batch/packet counters, sampled Process timing, trace enter/
-//     exit with the submission epoch) and the tail forwards the output.
-//     Per-member observability is bit-compatible with the interpreted
-//     path; only the Process calls moved.
+//     share (batch/packet counters, sampled Process timing, a flight span
+//     tagged with the submission's epoch and placement) and the tail
+//     forwards the output. Per-member observability is bit-compatible with
+//     the interpreted path; only the Process calls moved. Also
+//     allocation-free in steady state: markers are pooled.
 //
 // Hot-swap safety: elements are stateful and single-goroutine by contract,
 // and compilation moves member execution onto the head's goroutine. On an
@@ -45,14 +46,13 @@ import (
 )
 
 // runCompiled executes one batch through the compiled CPU stage-loop this
-// node heads. Called from handle with the head's TraceEnter already
-// emitted, exactly like the plain inline path.
+// node heads. Called from handle, exactly like the plain inline path.
 func (nr *nodeRunner) runCompiled(ctx context.Context, msg stageMsg, pl nodePlacement, tbl *placementTable) bool {
 	plan := &tbl.segs[pl.seg]
-	if nr.p.metrics == nil && nr.p.cfg.Trace == nil {
+	if !nr.observed {
 		return nr.runCompiledDirect(ctx, msg, plan)
 	}
-	return nr.runCompiledTraced(ctx, msg, pl, tbl, plan)
+	return nr.runCompiledObserved(ctx, msg, pl, tbl, plan)
 }
 
 // runCompiledDirect is the observability-off fast path: chain the member
@@ -85,29 +85,25 @@ func (nr *nodeRunner) runCompiledDirect(ctx context.Context, msg stageMsg, plan 
 		return true
 	}
 	for _, to := range plan.tailSucc[0] {
-		if !p.sendStage(ctx, nil, p.inbox[to], stageMsg{b: cur}) {
+		if !sendTo(ctx, p.inbox[to], stageMsg{b: cur}, nil, nil) {
 			return false
 		}
 	}
 	return true
 }
 
-// runCompiledTraced is the observability-on path: the same inline
+// runCompiledObserved is the observability-on path: the same inline
 // execution, but per-member stats land in a pooled pass-through marker
 // that then walks the member goroutines (scheduler.go's passThrough), so
-// metrics, trace epochs, and edge counters stay per-member exact. The
+// metrics, flight spans, and edge counters stay per-member exact. The
 // last member to touch the marker recycles it.
-func (nr *nodeRunner) runCompiledTraced(ctx context.Context, msg stageMsg, pl nodePlacement, tbl *placementTable, plan *segmentPlan) bool {
+func (nr *nodeRunner) runCompiledObserved(ctx context.Context, msg stageMsg, pl nodePlacement, tbl *placementTable, plan *segmentPlan) bool {
 	p := nr.p
-	sampled := false
 	if nr.m != nil {
 		nr.m.batches.Inc()
 		nr.m.pktsIn.Add(uint64(msg.live))
-		sampled = nr.tick == 0
-		if nr.tick++; nr.tick == nr.sampleN {
-			nr.tick = 0
-		}
 	}
+	sampled := nr.sample()
 	it := p.markers.Get().(*workItem)
 	st := it.stats[:0]
 	if cap(st) < len(plan.els) {
@@ -120,16 +116,11 @@ func (nr *nodeRunner) runCompiledTraced(ctx context.Context, msg stageMsg, pl no
 	}
 	*it = workItem{
 		kind: plan.sig, b: msg.b, live: msg.live,
-		plan: plan, epoch: tbl.epoch, place: "cpu", segID: pl.seg,
+		plan: plan, epoch: tbl.epoch, place: pl.label, segID: pl.seg,
 		stats: st, compiled: true, sampled: sampled,
 	}
 
 	curLive := msg.live
-	if nr.m == nil {
-		// Trace-only runs carry no sender live counts; scan once so the
-		// members' enter events still record real packet counts.
-		curLive = msg.b.Live()
-	}
 	cur := msg.b
 	var lastT time.Time
 	if sampled {
@@ -167,26 +158,18 @@ func (nr *nodeRunner) runCompiledTraced(ctx context.Context, msg stageMsg, pl no
 	it.executed, it.final = executed, final
 	p.Offload.CompiledBatches.Add(1)
 
-	// Head's own share, mirroring deliverFused.
+	// Head's own share, mirroring deliverFused; members book theirs from
+	// the marker (passThrough).
 	hs := it.stats[0]
+	if sampled {
+		nr.book(msg.b.ID, hs.liveIn, hs.procNs, tbl.epoch, pl.label, pl.seg)
+	}
 	if nr.m != nil {
-		if sampled {
-			nr.m.proc.Add(float64(hs.procNs))
-			nr.m.procPkts.Add(uint64(hs.liveIn))
-		}
 		nr.m.pktsOut.Add(uint64(hs.liveOut))
 		if hs.liveOut < hs.liveIn {
 			nr.m.drops.Add(uint64(hs.liveIn - hs.liveOut))
 		}
 	}
-	if sampled && nr.fl != nil {
-		// The head's flight span covers its own share of the compiled
-		// stage-loop; members book theirs from the marker (passThrough).
-		end := nr.fl.Now()
-		nr.fl.AddBusy(hs.procNs)
-		nr.fl.Span(msg.b.ID, hs.liveIn, end-hs.procNs, end)
-	}
-	p.trace(TraceExit, nr.id, it.b)
 	if executed <= 1 {
 		// The head emitted nothing: the chain died here, exactly where the
 		// interpreted pipeline would have stopped forwarding.
@@ -201,7 +184,7 @@ func (nr *nodeRunner) runCompiledTraced(ctx context.Context, msg stageMsg, pl no
 	if vb == nil {
 		vb = it.b
 	}
-	return p.sendStage(ctx, nr.m, p.inbox[plan.nodes[1]], stageMsg{b: vb, live: hs.liveOut, fused: it})
+	return sendTo(ctx, p.inbox[plan.nodes[1]], stageMsg{b: vb, live: hs.liveOut, fused: it}, nr.m, nr.fl)
 }
 
 // fenceCompiled runs on an epoch transition, before the first batch of the
@@ -222,7 +205,7 @@ func (nr *nodeRunner) fenceCompiled(ctx context.Context, tbl *placementTable) bo
 	}
 	plan := &tbl.segs[pl.seg]
 	it := &workItem{plan: plan, fidx: 1, fence: make(chan struct{})}
-	if !nr.p.sendStage(ctx, nil, nr.p.inbox[plan.nodes[1]], stageMsg{fused: it}) {
+	if !sendTo(ctx, nr.p.inbox[plan.nodes[1]], stageMsg{fused: it}, nil, nil) {
 		return false
 	}
 	select {
@@ -245,7 +228,7 @@ func (nr *nodeRunner) passFence(ctx context.Context, it *workItem) bool {
 	}
 	if i+1 < len(it.plan.nodes) {
 		it.fidx = i + 1
-		return nr.p.sendStage(ctx, nil, nr.p.inbox[it.plan.nodes[i+1]], stageMsg{fused: it})
+		return sendTo(ctx, nr.p.inbox[it.plan.nodes[i+1]], stageMsg{fused: it}, nil, nil)
 	}
 	close(it.fence)
 	return true

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 )
@@ -77,7 +78,7 @@ func TestCompiledVsInterpretedMultiset(t *testing.T) {
 }
 
 // TestCompiledVsInterpretedExactOrder: under PreserveOrder with metrics on
-// (the Traced path), compilation must be invisible — same batch order,
+// (the Observed path), compilation must be invisible — same batch order,
 // same packets, same bytes.
 func TestCompiledVsInterpretedExactOrder(t *testing.T) {
 	builders := map[string]func(int64) *element.Graph{
@@ -166,18 +167,24 @@ func TestCompiledPerFlowOrderSharded(t *testing.T) {
 // stage-loop: the Direct path must stay allocation-free in steady state,
 // and it must actually be the path taken (CompiledBatches advancing, hops
 // elided). The interpreted arm pins the same bound with compilation off,
-// so a regression in either path is attributed correctly.
+// so a regression in either path is attributed correctly. The observed arm
+// pins it for the shipped configuration — metrics and flight on — where
+// pooled markers walk the members and every element span carries its
+// placement label.
 func TestCompiledHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
-	for _, disable := range []bool{false, true} {
-		name := "compiled"
-		if disable {
-			name = "interpreted"
-		}
-		t.Run(name, func(t *testing.T) {
-			p, err := New(hotChainGraph(), Config{QueueDepth: 4, DisableCompile: disable})
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"compiled", Config{QueueDepth: 4}},
+		{"interpreted", Config{QueueDepth: 4, DisableCompile: true}},
+		{"observed", Config{QueueDepth: 4, Metrics: true, Flight: flight.New(flight.Config{})}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			p, err := New(hotChainGraph(), arm.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +205,7 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := p.snapshotOffload()
-			if disable {
+			if arm.cfg.DisableCompile {
 				if o.CompiledBatches != 0 {
 					t.Fatalf("DisableCompile ran %d compiled batches", o.CompiledBatches)
 				}
@@ -206,12 +213,15 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 				if o.CompiledBatches == 0 {
 					t.Fatal("compiled stage-loop never executed on the hot chain")
 				}
-				if o.CompiledHopsSaved == 0 {
+				if arm.cfg.Flight == nil && o.CompiledHopsSaved == 0 {
 					t.Fatal("compiled stage-loop saved no hops")
 				}
 			}
+			if arm.cfg.Flight != nil && len(arm.cfg.Flight.Spans()) == 0 {
+				t.Fatal("observed arm recorded no spans")
+			}
 			if allocs > 0 {
-				t.Fatalf("%s hot path: %.2f allocs/op, want 0", name, allocs)
+				t.Fatalf("%s hot path: %.2f allocs/op, want 0", arm.name, allocs)
 			}
 		})
 	}
@@ -225,10 +235,10 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 // identities — within one epoch.
 func TestHotSwapMidCompiledSegmentZeroLoss(t *testing.T) {
 	const batches, perBatch = 90, 16
-	ring := NewRingTrace(batches * 16)
+	rec := flight.New(flight.Config{SpansPerLane: batches})
 	g := hotSwapChain()
 	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
+		QueueDepth: 2, PreserveOrder: true, Metrics: true, Flight: rec,
 		Offload: &OffloadConfig{MaxOutstanding: 4, AggregateLimit: 3},
 	})
 	if err != nil {
@@ -285,42 +295,7 @@ func TestHotSwapMidCompiledSegmentZeroLoss(t *testing.T) {
 		t.Fatal("no compiled stage-loop executed: swap schedule never reached the compiled placement")
 	}
 
-	// Trace audit: every (element, batch) entered once; within one epoch an
-	// element keeps one placement and one segment identity.
-	type visit struct {
-		node  element.NodeID
-		batch uint64
-	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
-	}
-	type placeSeg struct {
-		place string
-		seg   int
-	}
-	entered := make(map[visit]bool)
-	perEpoch := make(map[nodeEpoch]placeSeg)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if entered[v] {
-			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
-		}
-		entered[v] = true
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
-		if prev, ok := perEpoch[ne]; ok && prev != ps {
-			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
-				ev.Node, ev.Epoch, prev, ps)
-		}
-		perEpoch[ne] = ps
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
-	}
+	auditElementSpans(t, rec, g, batches)
 }
 
 // badFanout declares one output port but starts violating the contract
@@ -356,7 +331,7 @@ func (e *badFanout) Process(b *netpkt.Batch) []*netpkt.Batch {
 func TestCompiledDrainAudit(t *testing.T) {
 	netpkt.SetPoolPoison(true)
 	defer netpkt.SetPoolPoison(false)
-	for _, metrics := range []bool{false, true} { // Direct and Traced abort paths
+	for _, metrics := range []bool{false, true} { // Direct and Observed abort paths
 		for _, empty := range []bool{false, true} {
 			t.Run(fmt.Sprintf("metrics=%v/empty=%v", metrics, empty), func(t *testing.T) {
 				g := element.NewGraph()

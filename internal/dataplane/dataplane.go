@@ -30,10 +30,6 @@ type Config struct {
 	// default; the overhead when on is a few timestamps per batch per
 	// element (see BenchmarkPipelineMetricsOverhead).
 	Metrics bool
-	// Trace, when non-nil, receives batch lifecycle events (inject,
-	// per-element enter/exit, sink release). The per-event cost when nil
-	// is a single pointer check.
-	Trace TraceSink
 	// TimingSample records the processing-time histogram for 1 in N
 	// Process calls per element (default 1 = every call). Packet, drop,
 	// and edge counters stay exact regardless; only the wall-clock
@@ -63,14 +59,12 @@ type Config struct {
 	Tenants map[element.NodeID]string
 	// Flight, when non-nil, threads the pipeline flight recorder through
 	// the dataplane: the collector records ordered-release spans, every
-	// element lane records per-batch processing spans and busy ns (at the
-	// Metrics TimingSample rate), and the shard inbox registers a depth
-	// probe. The per-batch cost when nil is a pointer check per site.
+	// element lane records per-batch processing spans (tagged with the
+	// placement epoch, placement and segment the batch ran under), busy ns
+	// at the TimingSample rate, and send backpressure as stall, and the
+	// shard inbox registers a depth probe. The per-batch cost when nil is a
+	// pointer check per site; nil is also the -no-flight A/B arm.
 	Flight *flight.Recorder
-	// DisableFlight forces Flight to nil — the A/B lever (-no-flight)
-	// that proves the recorder's overhead on an otherwise identical
-	// configuration.
-	DisableFlight bool
 	// PinOSThread wires each element goroutine (and so each compiled
 	// stage-loop) to a dedicated OS thread via runtime.LockOSThread — the
 	// NUMA-style worker pinning a DPDK dataplane gets from lcore affinity.
@@ -119,24 +113,18 @@ type Pipeline struct {
 	// lat records per-batch inject→release latency (nil when Config.Metrics
 	// is off).
 	lat *e2eTracker
-	// flight wiring (all nil when Config.Flight is nil/disabled):
-	// flRelease is the collector's release-stage lane, flElems holds one
-	// lane per element ("nf:<name>", lane = shard index), flightLane is
-	// this pipeline's lane index (0 standalone, shard index when built by
-	// NewSharded).
-	flight     *flight.Recorder
-	flightLane int
-	flRelease  *flight.LaneRecorder
-	flElems    []*flight.LaneRecorder
+	// flight wiring (both nil when Config.Flight is nil): flRelease is
+	// the collector's release-stage lane, flElems holds one lane per
+	// element ("nf:<name>"); both sit at this pipeline's lane index (0
+	// standalone, the shard index when built by NewSharded).
+	flRelease *flight.LaneRecorder
+	flElems   []*flight.LaneRecorder
 	// inbox holds each element's input channel; Snapshot samples queue
 	// depths from it.
 	inbox []chan stageMsg
-	// start is the monotonic origin of every TraceEvent.NanosSinceStart and
-	// of ElapsedNs. It is fixed at construction and never reset — not by
-	// Apply hot-swaps, not by snapshots — so trace timelines from different
-	// placement epochs share one base and stay comparable. NewSharded
-	// overwrites it with the sharded pipeline's own origin so all replicas
-	// of one deployment trace against a single clock.
+	// start is the monotonic origin of the e2e latency stamps and of
+	// ElapsedNs. It is fixed at construction and never reset — not by
+	// Apply hot-swaps, not by snapshots.
 	start time.Time
 
 	in      chan *netpkt.Batch
@@ -149,7 +137,8 @@ type Pipeline struct {
 
 // stageMsg carries a batch between stages. live is the batch's live packet
 // count as counted by the sender, so each hop counts a batch once instead
-// of every stage re-scanning it (meaningful only when metrics are on).
+// of every stage re-scanning it (meaningful only when metrics or flight
+// recording is on).
 // fused, when non-nil, marks the message as a fused-segment pass-through:
 // the batch already executed device-side as part of the marker's segment,
 // and the receiving member only books its recorded share (scheduler.go's
@@ -204,7 +193,7 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 	p.markers.New = func() any { return new(workItem) }
 	p.pool = newDevicePool(p, cfg.Offload)
 	p.placements.Store(p.resolvePlacements(cfg.Assignment, 0))
-	if cfg.Flight != nil && !cfg.DisableFlight {
+	if cfg.Flight != nil {
 		p.initFlight(cfg.Flight, 0)
 	}
 	return p, nil
@@ -216,8 +205,6 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 // stripping Flight from the inner configs, so lanes are never registered
 // twice.
 func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
-	p.flight = rec
-	p.flightLane = lane
 	p.flRelease = rec.Lane(flight.StageRelease, lane)
 	p.flElems = make([]*flight.LaneRecorder, p.g.Len())
 	for i := range p.flElems {
@@ -228,52 +215,8 @@ func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 	})
 }
 
-// clock returns monotonic time since the pipeline's trace origin (see the
-// start field: construction time, or the sharded pipeline's origin).
+// clock returns monotonic time since the pipeline's construction.
 func (p *Pipeline) clock() time.Duration { return time.Since(p.start) }
-
-// trace emits an event if a sink is configured; the nil check is the whole
-// disabled-path cost.
-func (p *Pipeline) trace(kind TraceKind, node element.NodeID, b *netpkt.Batch) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: kind, Node: node, Batch: b.ID, Packets: b.Live(),
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Segment:         -1,
-	})
-}
-
-// traceEnter is trace(TraceEnter, ...) stamped with the placement and
-// epoch the batch is about to execute under — the hot-swap audit trail: a
-// batch's enter event records exactly one placement per element visit.
-func (p *Pipeline) traceEnter(node element.NodeID, b *netpkt.Batch, pl nodePlacement, epoch uint64) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: TraceEnter, Node: node, Batch: b.ID, Packets: b.Live(),
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Epoch:           epoch, Placement: pl.String(), Segment: pl.seg,
-	})
-}
-
-// traceFused is the enter event of a fused segment member: the batch
-// already executed device-side, so the event records the epoch, placement,
-// and segment the *submission* ran under (from the marker) and the
-// member's own recorded live-in count — keeping the one-placement-per-epoch
-// audit exact even when a swap lands while the marker is in flight.
-func (p *Pipeline) traceFused(node element.NodeID, b *netpkt.Batch, it *workItem, liveIn int) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: TraceEnter, Node: node, Batch: b.ID, Packets: liveIn,
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Epoch:           it.epoch, Placement: it.place, Segment: it.segID,
-	})
-}
 
 // Start launches one goroutine per element plus the sink collector. The
 // pipeline runs until Close (or ctx cancellation) and the input channel is
@@ -338,6 +281,7 @@ func (p *Pipeline) Start(ctx context.Context) {
 		if p.flElems != nil {
 			nr.fl = p.flElems[i]
 		}
+		nr.observed = nr.m != nil || nr.fl != nil
 		wg.Add(1)
 		go func(nr *nodeRunner, succ [][]element.NodeID, isSink bool) {
 			defer wg.Done()
@@ -392,7 +336,6 @@ func (p *Pipeline) Start(ctx context.Context) {
 			if p.lat != nil {
 				p.lat.record(b.ID, p.clock().Nanoseconds())
 			}
-			p.trace(TraceInject, -1, b)
 			for _, s := range sources {
 				select {
 				case inbox[s] <- stageMsg{b: b, live: live}:
@@ -423,7 +366,6 @@ func (p *Pipeline) Start(ctx context.Context) {
 				now := p.flRelease.Now()
 				p.flRelease.Span(b.ID, int(live), now, now)
 			}
-			p.trace(TraceRelease, -1, b)
 			select {
 			case p.out <- b:
 				return true
@@ -454,20 +396,21 @@ func (p *Pipeline) Start(ctx context.Context) {
 	}()
 }
 
-// send pushes a sink's batch to the collector, accounting send-wait time
-// when metrics are on. Returns false when the context was cancelled. The
-// non-blocking first attempt keeps the uncontended path free of clock
-// reads: send-wait only pays for timestamps when it actually waits.
-func (p *Pipeline) send(ctx context.Context, m *nodeMetrics,
-	sinkOut chan<- *netpkt.Batch, b *netpkt.Batch) bool {
+// sendTo pushes v to ch (an element inbox or the sink collector), booking
+// the time a blocked send waits as the sender's send-wait (m) and as stall
+// on its flight lane (fl), whichever are set. Returns false when the
+// context was cancelled. The non-blocking first attempt keeps the
+// uncontended path free of clock reads: only a send that actually waits
+// pays for timestamps.
+func sendTo[T any](ctx context.Context, ch chan<- T, v T, m *nodeMetrics, fl *flight.LaneRecorder) bool {
 	select {
-	case sinkOut <- b:
+	case ch <- v:
 		return true
 	default:
 	}
-	if m == nil {
+	if m == nil && fl == nil {
 		select {
-		case sinkOut <- b:
+		case ch <- v:
 			return true
 		case <-ctx.Done():
 			return false
@@ -475,35 +418,12 @@ func (p *Pipeline) send(ctx context.Context, m *nodeMetrics,
 	}
 	t0 := time.Now()
 	select {
-	case sinkOut <- b:
-		m.sendWaitNs.Add(uint64(time.Since(t0).Nanoseconds()))
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sendStage is send for element-to-element hops, with the same
-// fast-path-first send-wait accounting.
-func (p *Pipeline) sendStage(ctx context.Context, m *nodeMetrics,
-	ch chan<- stageMsg, msg stageMsg) bool {
-	select {
-	case ch <- msg:
-		return true
-	default:
-	}
-	if m == nil {
-		select {
-		case ch <- msg:
-			return true
-		case <-ctx.Done():
-			return false
+	case ch <- v:
+		d := time.Since(t0).Nanoseconds()
+		if m != nil {
+			m.sendWaitNs.Add(uint64(d))
 		}
-	}
-	t0 := time.Now()
-	select {
-	case ch <- msg:
-		m.sendWaitNs.Add(uint64(time.Since(t0).Nanoseconds()))
+		fl.AddStall(d)
 		return true
 	case <-ctx.Done():
 		return false

@@ -58,6 +58,7 @@
 // bridge in this package converts a snapshot into the allocator's profile
 // inputs. ShardedPipeline.Snapshot aggregates per-replica reports into the
 // same Report shape (AggregateReports), so the allocator bridge works
-// identically for sharded deployments. Config.Trace additionally emits
-// per-batch lifecycle events.
+// identically for sharded deployments. Config.Flight records each batch's
+// lifecycle as flight spans: per-element spans tagged with the placement
+// epoch, placement and segment the batch ran under, and release spans.
 package dataplane

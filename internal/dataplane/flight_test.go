@@ -2,75 +2,147 @@ package dataplane
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/flight"
 )
 
-// TestPipelineFlightSpans: a metrics-on pipeline with a recorder attached
-// records one release span per output batch and element spans at the
-// timing-sample cadence, and exposes its inbox through a shard queue probe.
+// TestPipelineFlightSpans: a pipeline with a recorder attached records one
+// release span per output batch, one element span and matching busy time
+// per element per batch (at TimingSample 1), and exposes its inbox through
+// a shard queue probe — with or without the Metrics layer, since element
+// lanes are flight's own record, not a by-product of metrics.
 func TestPipelineFlightSpans(t *testing.T) {
-	rec := flight.New(flight.Config{})
-	g := testChainGraph()
-	outs, _, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, PreserveOrder: true, Flight: rec}, genBatches(30, 32, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 30 {
-		t.Fatalf("out batches = %d", len(outs))
-	}
-
-	var release, elems int
-	stages := map[string]bool{}
-	for _, s := range rec.Spans() {
-		stages[s.Stage] = true
-		switch {
-		case s.Stage == flight.StageRelease:
-			release++
-		case len(s.Stage) > 3 && s.Stage[:3] == "nf:":
-			elems++
-		}
-	}
-	if release != 30 {
-		t.Errorf("release spans = %d, want one per output batch (30); stages %v", release, stages)
-	}
-	if elems == 0 {
-		t.Error("no element spans recorded")
-	}
-
-	var sawShardProbe bool
-	for _, s := range rec.Samples() {
-		if s.Stage == flight.StageShard && s.HasQueue {
-			sawShardProbe = true
-			if s.QueueCap <= 0 {
-				t.Errorf("shard probe capacity = %d", s.QueueCap)
+	for _, metrics := range []bool{true, false} {
+		t.Run(fmt.Sprintf("metrics=%v", metrics), func(t *testing.T) {
+			const batches = 30
+			rec := flight.New(flight.Config{})
+			g := testChainGraph()
+			outs, _, err := RunBatches(context.Background(), g,
+				Config{Metrics: metrics, PreserveOrder: true, Flight: rec}, genBatches(batches, 32, 5))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !sawShardProbe {
-		t.Error("no shard inbox queue probe registered")
+			if len(outs) != batches {
+				t.Fatalf("out batches = %d", len(outs))
+			}
+
+			var release, elems int
+			for _, s := range rec.Spans() {
+				switch {
+				case s.Stage == flight.StageRelease:
+					release++
+				case strings.HasPrefix(s.Stage, "nf:"):
+					elems++
+					if s.Placement != "cpu" || s.Packets != 32 {
+						t.Fatalf("element span = %+v, want placement cpu and 32 packets", s)
+					}
+				}
+			}
+			if release != batches {
+				t.Errorf("release spans = %d, want one per output batch (%d)", release, batches)
+			}
+			if elems != batches*g.Len() {
+				t.Errorf("element spans = %d, want %d", elems, batches*g.Len())
+			}
+
+			var sawShardProbe bool
+			for _, s := range rec.Samples() {
+				if strings.HasPrefix(s.Stage, "nf:") && s.BusyNs <= 0 {
+					t.Errorf("%s booked no busy time", s.Stage)
+				}
+				if s.Stage == flight.StageShard && s.HasQueue {
+					sawShardProbe = true
+					if s.QueueCap <= 0 {
+						t.Errorf("shard probe capacity = %d", s.QueueCap)
+					}
+				}
+			}
+			if !sawShardProbe {
+				t.Error("no shard inbox queue probe registered")
+			}
+		})
 	}
 }
 
-// TestPipelineFlightDisabled: DisableFlight severs the recorder even when
-// one is configured — the A/B lever must actually disable recording.
-func TestPipelineFlightDisabled(t *testing.T) {
+// TestPipelineFlightStall: backpressure on an element's sends reaches its
+// flight lane as stall, booked from the same measured wait as the
+// element's SendWaitNs.
+func TestPipelineFlightStall(t *testing.T) {
 	rec := flight.New(flight.Config{})
-	g := testChainGraph()
-	outs, _, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, PreserveOrder: true, Flight: rec, DisableFlight: true},
-		genBatches(10, 16, 6))
+	g := linearGraph(element.NewDecTTL("ttl"), &delay{name: "slow", d: 200 * time.Microsecond})
+	_, p, err := RunBatches(context.Background(), g,
+		Config{QueueDepth: 1, Metrics: true, Flight: rec, DisableCompile: true},
+		genBatches(40, 8, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 10 {
-		t.Fatalf("out batches = %d", len(outs))
+	wait := map[string]uint64{}
+	for _, e := range p.Snapshot().Elements {
+		wait["nf:"+e.Name] = e.SendWaitNs
 	}
-	if n := len(rec.Spans()); n != 0 {
-		t.Errorf("DisableFlight still recorded %d spans", n)
+	var stalled int
+	for _, s := range rec.Samples() {
+		if !strings.HasPrefix(s.Stage, "nf:") {
+			continue
+		}
+		if uint64(s.StallNs) != wait[s.Stage] {
+			t.Errorf("%s: flight stall %d ns != SendWaitNs %d ns", s.Stage, s.StallNs, wait[s.Stage])
+		}
+		if s.StallNs > 0 {
+			stalled++
+		}
+	}
+	if wait["nf:ttl"] == 0 || stalled == 0 {
+		t.Fatalf("the slow element never backpressured its sender (ttl send-wait %d ns)", wait["nf:ttl"])
+	}
+}
+
+// auditElementSpans is the hot-swap audit read from a pipeline's element
+// spans: every (element, batch) visited exactly once — batches × elements
+// visits in all — and, within one placement epoch, every element ran under
+// one placement and one segment. Elements are identified by their
+// "nf:<name>" lane, so element names must be unique in g; the recorder
+// must hold at least batches spans per lane.
+func auditElementSpans(t *testing.T, rec *flight.Recorder, g *element.Graph, batches int) {
+	t.Helper()
+	type visit struct {
+		stage string
+		batch uint64
+	}
+	type stageEpoch struct {
+		stage string
+		epoch uint64
+	}
+	type placeSeg struct {
+		place string
+		seg   int
+	}
+	visited := make(map[visit]placeSeg)
+	perEpoch := make(map[stageEpoch]placeSeg)
+	for _, sp := range rec.Spans() {
+		if !strings.HasPrefix(sp.Stage, "nf:") {
+			continue
+		}
+		ps := placeSeg{place: sp.Placement, seg: sp.Segment}
+		v := visit{stage: sp.Stage, batch: sp.Batch}
+		if prev, ok := visited[v]; ok {
+			t.Fatalf("%s visited batch %d twice (%+v, %+v)", sp.Stage, sp.Batch, prev, ps)
+		}
+		visited[v] = ps
+		se := stageEpoch{stage: sp.Stage, epoch: sp.Epoch}
+		if prev, ok := perEpoch[se]; ok && prev != ps {
+			t.Fatalf("%s changed placement/segment within epoch %d: %+v then %+v",
+				sp.Stage, sp.Epoch, prev, ps)
+		}
+		perEpoch[se] = ps
+	}
+	if len(visited) != batches*g.Len() {
+		t.Fatalf("element spans recorded %d visits, want %d", len(visited), batches*g.Len())
 	}
 }
 
@@ -121,20 +193,5 @@ func TestShardedFlightSpans(t *testing.T) {
 	}
 	if probes[flight.StageShard] != shards {
 		t.Errorf("shard inbox probes = %d, want %d", probes[flight.StageShard], shards)
-	}
-}
-
-// TestShardedDisableFlight: the sharded wrapper owns the lever too.
-func TestShardedDisableFlight(t *testing.T) {
-	rec := flight.New(flight.Config{})
-	build := func(int) (*element.Graph, error) { return testChainGraph(), nil }
-	if _, _, err := RunBatchesSharded(context.Background(), build, ShardedConfig{
-		Shards: 2,
-		Config: Config{Metrics: true, Flight: rec, DisableFlight: true},
-	}, genBatches(10, 16, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(rec.Spans()); n != 0 {
-		t.Errorf("DisableFlight still recorded %d spans", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
@@ -221,10 +222,10 @@ func TestFusionDifferentialExactOrder(t *testing.T) {
 // placements — or two segment identities — within one epoch.
 func TestHotSwapMidSegmentZeroLoss(t *testing.T) {
 	const batches, perBatch = 90, 16
-	ring := NewRingTrace(batches * 16)
+	rec := flight.New(flight.Config{SpansPerLane: batches})
 	g := hotSwapChain()
 	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
+		QueueDepth: 2, PreserveOrder: true, Metrics: true, Flight: rec,
 		Offload: &OffloadConfig{MaxOutstanding: 4, AggregateLimit: 3},
 	})
 	if err != nil {
@@ -280,42 +281,7 @@ func TestHotSwapMidSegmentZeroLoss(t *testing.T) {
 		t.Fatal("no fused segments executed: swap schedule never reached the fused placement")
 	}
 
-	// Trace audit: every (element, batch) entered once; within one epoch an
-	// element keeps one placement and one segment identity.
-	type visit struct {
-		node  element.NodeID
-		batch uint64
-	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
-	}
-	type placeSeg struct {
-		place string
-		seg   int
-	}
-	entered := make(map[visit]bool)
-	perEpoch := make(map[nodeEpoch]placeSeg)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if entered[v] {
-			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
-		}
-		entered[v] = true
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
-		if prev, ok := perEpoch[ne]; ok && prev != ps {
-			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
-				ev.Node, ev.Epoch, prev, ps)
-		}
-		perEpoch[ne] = ps
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
-	}
+	auditElementSpans(t, rec, g, batches)
 }
 
 // fig7FusedChain is the dataplane build of the Fig. 7 evaluation chain:

@@ -2,9 +2,12 @@ package dataplane
 
 import (
 	"context"
+	"sort"
+	"strings"
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/stats"
 )
 
@@ -72,15 +75,16 @@ func TestE2ELatencySharded(t *testing.T) {
 	}
 }
 
-// Trace timestamps must come from one monotonic origin that survives
-// Pipeline.Apply hot-swaps: events never jump backwards across a placement
-// epoch change, and the new epoch's events carry the same clock.
+// Span timestamps must come from one monotonic origin that survives
+// Pipeline.Apply hot-swaps: release spans never jump backwards across a
+// placement epoch change, and element spans from both epochs carry the
+// same clock.
 func TestTraceOriginSurvivesApply(t *testing.T) {
 	const batches, perBatch = 60, 8
-	ring := NewRingTrace(batches * 32)
+	rec := flight.New(flight.Config{SpansPerLane: batches})
 	g := hotSwapChain()
 	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
+		QueueDepth: 2, PreserveOrder: true, Metrics: true, Flight: rec,
 		Offload: &OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
 	})
 	if err != nil {
@@ -108,48 +112,31 @@ func TestTraceOriginSurvivesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs := ring.Events()
-	if len(evs) == 0 {
-		t.Fatal("no trace events")
-	}
-	// Inject events come from the single injector goroutine and release
-	// events from the single collector goroutine, so within each kind the
-	// clock reads are strictly sequential: any backwards step means the
-	// monotonic origin was reset by the hot-swap.
+	// Release spans come from the single collector goroutine, so their
+	// clock reads are strictly sequential in release (batch) order: any
+	// backwards step means the origin was reset by the hot-swap.
 	epochs := map[uint64]bool{}
-	last := map[TraceKind]int64{}
-	for i, e := range evs {
-		if e.Kind == TraceInject || e.Kind == TraceRelease {
-			if e.NanosSinceStart < last[e.Kind] {
-				t.Fatalf("event %d (%s): timestamp %d < previous %d (origin reset across swap?)",
-					i, e.Kind, e.NanosSinceStart, last[e.Kind])
-			}
-			last[e.Kind] = e.NanosSinceStart
+	var release []flight.Span
+	for _, sp := range rec.Spans() {
+		switch {
+		case sp.Stage == flight.StageRelease:
+			release = append(release, sp)
+		case strings.HasPrefix(sp.Stage, "nf:"):
+			epochs[sp.Epoch] = true
 		}
-		if e.Kind == TraceEnter {
-			epochs[e.Epoch] = true
+	}
+	if len(release) != batches {
+		t.Fatalf("release spans = %d, want %d", len(release), batches)
+	}
+	sort.Slice(release, func(i, j int) bool { return release[i].Batch < release[j].Batch })
+	for i := 1; i < len(release); i++ {
+		if release[i].StartNs < release[i-1].StartNs {
+			t.Fatalf("batch %d released at %d ns < batch %d at %d ns (origin reset across swap?)",
+				release[i].Batch, release[i].StartNs, release[i-1].Batch, release[i-1].StartNs)
 		}
 	}
 	if len(epochs) < 2 {
-		t.Fatalf("expected events from >=2 placement epochs, got %v", epochs)
-	}
-}
-
-// All shards of a sharded pipeline must share the sharded origin, so
-// cross-shard trace events interleave on one consistent clock (no per-shard
-// construction skew).
-func TestTraceOriginSharedAcrossShards(t *testing.T) {
-	sp, err := NewSharded(
-		func(int) (*element.Graph, error) { return testChainGraph(), nil },
-		ShardedConfig{Shards: 4, Config: Config{Metrics: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range sp.shards {
-		if !sh.start.Equal(sp.start) {
-			t.Fatalf("shard origin %v differs from sharded origin %v",
-				sh.start, sp.start)
-		}
+		t.Fatalf("expected element spans from >=2 placement epochs, got %v", epochs)
 	}
 }
 

@@ -140,7 +140,7 @@ func (p *Pipeline) Snapshot() *Report {
 			Kind:      el.Traits().Kind,
 			QueueLen:  len(p.inbox[i]),
 			QueueCap:  cap(p.inbox[i]),
-			Placement: tbl.nodes[i].String(),
+			Placement: tbl.nodes[i].label,
 			Tenant:    p.cfg.Tenants[id],
 		}
 		if p.metrics != nil {

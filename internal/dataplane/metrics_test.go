@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/profile"
 )
@@ -193,55 +194,33 @@ func TestSnapshotMetricsOff(t *testing.T) {
 	}
 }
 
+// TestTraceEvents: the flight recorder alone — Metrics off — records each
+// batch's lifecycle: one element span per element per batch and one
+// release span per batch, on the recorder's non-negative clock.
 func TestTraceEvents(t *testing.T) {
 	const batches = 6
-	tr := NewRingTrace(4096)
+	rec := flight.New(flight.Config{})
 	g := linearGraph(element.NewDecTTL("ttl"))
 	_, _, err := RunBatches(context.Background(), g,
-		Config{Trace: tr, PreserveOrder: true}, genBatches(batches, 4, 11))
+		Config{Flight: rec, PreserveOrder: true}, genBatches(batches, 4, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := tr.Events()
-	counts := map[TraceKind]int{}
-	lastSeen := map[uint64]int64{}
-	for _, e := range events {
-		counts[e.Kind]++
-		if prev, ok := lastSeen[e.Batch]; ok && e.NanosSinceStart < prev {
-			// Events for one batch arrive from different goroutines but
-			// each stage happens-after the previous send, so per-batch
-			// times are monotone in emission order per goroutine chain;
-			// only check non-negative timestamps here.
-			_ = prev
-		}
-		lastSeen[e.Batch] = e.NanosSinceStart
-		if e.NanosSinceStart < 0 {
-			t.Fatalf("negative timestamp: %+v", e)
+	counts := map[string]int{}
+	for _, sp := range rec.Spans() {
+		counts[sp.Stage]++
+		if sp.StartNs < 0 || sp.EndNs < sp.StartNs {
+			t.Fatalf("bad span timestamps: %+v", sp)
 		}
 	}
-	if counts[TraceInject] != batches || counts[TraceRelease] != batches {
-		t.Fatalf("inject/release = %d/%d, want %d", counts[TraceInject], counts[TraceRelease], batches)
+	if counts[flight.StageRelease] != batches {
+		t.Fatalf("release spans = %d, want %d", counts[flight.StageRelease], batches)
 	}
 	// 3 elements (src, ttl, dst) each see every batch.
-	if counts[TraceEnter] != 3*batches || counts[TraceExit] != 3*batches {
-		t.Fatalf("enter/exit = %d/%d, want %d", counts[TraceEnter], counts[TraceExit], 3*batches)
-	}
-	if tr.Total() != uint64(len(events)) {
-		t.Fatalf("ring total %d != events %d", tr.Total(), len(events))
-	}
-}
-
-func TestRingTraceWraps(t *testing.T) {
-	r := NewRingTrace(3)
-	for i := 0; i < 5; i++ {
-		r.Emit(TraceEvent{Batch: uint64(i)})
-	}
-	ev := r.Events()
-	if len(ev) != 3 || ev[0].Batch != 2 || ev[2].Batch != 4 {
-		t.Fatalf("ring contents wrong: %+v", ev)
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d", r.Total())
+	for _, name := range []string{"src", "ttl", "dst"} {
+		if got := counts["nf:"+name]; got != batches {
+			t.Fatalf("nf:%s spans = %d, want %d", name, got, batches)
+		}
 	}
 }
 

@@ -137,10 +137,10 @@ type workItem struct {
 	live int
 	mode hetsim.Mode
 	frac float64
-	// Fused-segment submission context (plan nil for single-element
-	// items): the chain to execute, the epoch/placement/segment it was
-	// submitted under (members trace against these, not the live table —
-	// the work already happened under them).
+	// Submission context: the fused chain to execute (plan nil for
+	// single-element items) and the epoch, placement label and segment it
+	// was submitted under. Element spans record these, not the live
+	// table's — the work already happened under them.
 	plan  *segmentPlan
 	epoch uint64
 	place string

@@ -24,10 +24,15 @@ type nodePlacement struct {
 	// segment's entry element — the node that submits the fused item.
 	seg  int
 	head bool
+	// label is the rendered placement ("cpu", "gpu0", "split1:0.40"),
+	// formatted once per table so reports and element spans never format
+	// per batch.
+	label string
 }
 
-// String renders the placement for reports and traces.
-func (pl nodePlacement) String() string {
+// format renders the placement label; resolvePlacements caches it in
+// label.
+func (pl nodePlacement) format() string {
 	switch pl.mode {
 	case hetsim.ModeGPU:
 		return fmt.Sprintf("gpu%d", pl.dev)
@@ -183,6 +188,9 @@ func (p *Pipeline) resolvePlacements(a hetsim.Assignment, epoch uint64) *placeme
 			plan.tailSucc = p.g.Successors(plan.nodes[len(plan.nodes)-1])
 			t.segs = append(t.segs, plan)
 		}
+	}
+	for i := range t.nodes {
+		t.nodes[i].label = t.nodes[i].format()
 	}
 	return t
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 )
@@ -194,7 +195,7 @@ func TestPlacementShardedPerFlowOrder(t *testing.T) {
 }
 
 // hotSwapChain is the fixed linear graph the hot-swap audits run on: every
-// batch enters every element exactly once, so duplicate TraceEnter events
+// batch enters every element exactly once, so duplicate element spans
 // directly indicate double execution.
 func hotSwapChain() *element.Graph {
 	g := element.NewGraph()
@@ -227,14 +228,14 @@ func hotSwapAssignments() []hetsim.Assignment {
 }
 
 // TestHotSwapZeroLoss: applying new assignments mid-traffic loses zero
-// packets, keeps batch order, and — audited through the trace layer —
-// never executes an element under two placements within one batch epoch.
+// packets, keeps batch order, and — audited through the element flight
+// spans — never executes an element under two placements within one batch epoch.
 func TestHotSwapZeroLoss(t *testing.T) {
 	const batches, perBatch = 80, 16
-	ring := NewRingTrace(batches * 16)
+	rec := flight.New(flight.Config{SpansPerLane: batches})
 	g := hotSwapChain()
 	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
+		QueueDepth: 2, PreserveOrder: true, Metrics: true, Flight: rec,
 		Offload: &OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
 	})
 	if err != nil {
@@ -289,38 +290,7 @@ func TestHotSwapZeroLoss(t *testing.T) {
 		t.Fatalf("final epoch = %d, want 3", got)
 	}
 
-	// Trace audit: each (element, batch) entered exactly once, and within
-	// one epoch an element always ran under one placement.
-	type visit struct {
-		node  element.NodeID
-		batch uint64
-	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
-	}
-	entered := make(map[visit]string)
-	perEpoch := make(map[nodeEpoch]string)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if prev, ok := entered[v]; ok {
-			t.Fatalf("element %d entered batch %d twice (placements %q, %q)",
-				ev.Node, ev.Batch, prev, ev.Placement)
-		}
-		entered[v] = ev.Placement
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		if prev, ok := perEpoch[ne]; ok && prev != ev.Placement {
-			t.Fatalf("element %d ran under two placements (%q, %q) within epoch %d",
-				ev.Node, prev, ev.Placement, ev.Epoch)
-		}
-		perEpoch[ne] = ev.Placement
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
-	}
+	auditElementSpans(t, rec, g, batches)
 }
 
 // TestHotSwapShardedZeroLoss: the sharded pipeline's Apply swaps every

@@ -44,6 +44,9 @@ type nodeRunner struct {
 	// Spans and busy ns record on the same TimingSample cadence as the
 	// proc histogram, so flight attribution costs no extra clock reads.
 	fl *flight.LaneRecorder
+	// observed is m != nil || fl != nil: the runner times sampled batches
+	// and counts live packets per hop.
+	observed bool
 
 	// epoch is the placement epoch of the last handled batch; lane is the
 	// offload lane, created on first offload; outstanding counts in-flight
@@ -120,7 +123,6 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 		return nr.passThrough(ctx, msg.fused)
 	}
 	pl := tbl.nodes[nr.id]
-	nr.p.traceEnter(nr.id, msg.b, pl, tbl.epoch)
 	if pl.mode != hetsim.ModeCPU {
 		return nr.offload(ctx, msg, pl, tbl)
 	}
@@ -132,32 +134,49 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 	}
 
 	// Inline host-CPU path (the original dataplane fast path).
-	var t0 time.Time
-	timed := false
 	if nr.m != nil {
 		nr.m.batches.Inc()
 		nr.m.pktsIn.Add(uint64(msg.live))
-		if nr.tick == 0 {
-			timed = true
-			t0 = time.Now()
-		}
-		if nr.tick++; nr.tick == nr.sampleN {
-			nr.tick = 0
-		}
+	}
+	var t0 time.Time
+	timed := nr.sample()
+	if timed {
+		t0 = time.Now()
 	}
 	outs := nr.host.Process(nr.el, msg.b)
 	if timed {
-		d := time.Since(t0).Nanoseconds()
-		nr.m.proc.Add(float64(d))
-		nr.m.procPkts.Add(uint64(msg.live))
-		if nr.fl != nil {
-			end := nr.fl.Now()
-			nr.fl.AddBusy(d)
-			nr.fl.Span(msg.b.ID, msg.live, end-d, end)
-		}
+		nr.book(msg.b.ID, msg.live, time.Since(t0).Nanoseconds(), tbl.epoch, pl.label, pl.seg)
 	}
-	nr.p.trace(TraceExit, nr.id, msg.b)
 	return nr.forward(ctx, msg.b, msg.live, outs)
+}
+
+// sample advances the TimingSample cadence and reports whether this batch
+// is timed: 1 in sampleN batches while metrics or flight recording is on,
+// none otherwise.
+func (nr *nodeRunner) sample() bool {
+	if !nr.observed {
+		return false
+	}
+	hit := nr.tick == 0
+	if nr.tick++; nr.tick == nr.sampleN {
+		nr.tick = 0
+	}
+	return hit
+}
+
+// book accounts one timed Process share of ns: the proc histogram, and the
+// element's flight span and busy time tagged with the placement epoch,
+// label and segment index (-1 for none) the batch ran under.
+func (nr *nodeRunner) book(batch uint64, live int, ns int64, epoch uint64, place string, seg int) {
+	if nr.m != nil {
+		nr.m.proc.Add(float64(ns))
+		nr.m.procPkts.Add(uint64(live))
+	}
+	if nr.fl != nil {
+		end := nr.fl.Now()
+		nr.fl.AddBusy(ns)
+		nr.fl.PlacedSpan(batch, live, end-ns, end, epoch, place, seg+1)
+	}
 }
 
 // offload submits one batch to the element's lane, first making room in
@@ -186,7 +205,7 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 	it := &workItem{
 		lane: nr.lane, el: nr.el, kind: nr.kind,
 		b: msg.b, live: msg.live, mode: pl.mode, frac: pl.frac,
-		epoch: tbl.epoch, segID: pl.seg,
+		epoch: tbl.epoch, place: pl.label, segID: pl.seg,
 		// Device submissions are always wall-clock timed by the worker.
 		sampled: true,
 	}
@@ -194,7 +213,6 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 		if plan := &tbl.segs[pl.seg]; len(plan.nodes) > 1 {
 			it.plan = plan
 			it.kind = plan.sig
-			it.place = pl.String()
 		}
 	}
 	nr.outstanding++
@@ -210,40 +228,24 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if it.plan != nil {
 		return nr.deliverFused(ctx, it)
 	}
-	if nr.m != nil {
-		nr.m.proc.Add(float64(it.procNs))
-		nr.m.procPkts.Add(uint64(it.live))
-	}
-	if nr.fl != nil {
-		end := nr.fl.Now()
-		nr.fl.AddBusy(it.procNs)
-		nr.fl.Span(it.b.ID, it.live, end-it.procNs, end)
-	}
-	nr.p.trace(TraceExit, nr.id, it.b)
+	nr.book(it.b.ID, it.live, it.procNs, it.epoch, it.place, it.segID)
 	return nr.forward(ctx, it.b, it.live, it.outs)
 }
 
 // deliverFused accounts the segment head's share of a completed fused
 // submission and launches the pass-through marker down the chain: each
 // member's goroutine still sees the batch once, in order, and books its own
-// metrics/trace from the per-member stats the device worker recorded — but
-// no member re-executes anything.
+// metrics and flight span from the per-member stats the device worker
+// recorded — but no member re-executes anything.
 func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
 	ms := it.stats[0]
+	nr.book(it.b.ID, ms.liveIn, ms.procNs, it.epoch, it.place, it.segID)
 	if nr.m != nil {
-		nr.m.proc.Add(float64(ms.procNs))
-		nr.m.procPkts.Add(uint64(ms.liveIn))
 		nr.m.pktsOut.Add(uint64(ms.liveOut))
 		if ms.liveOut < ms.liveIn {
 			nr.m.drops.Add(uint64(ms.liveIn - ms.liveOut))
 		}
 	}
-	if nr.fl != nil {
-		end := nr.fl.Now()
-		nr.fl.AddBusy(ms.procNs)
-		nr.fl.Span(it.b.ID, ms.liveIn, end-ms.procNs, end)
-	}
-	nr.p.trace(TraceExit, nr.id, it.b)
 	if it.executed <= 1 {
 		// The head emitted nothing: the chain died here, exactly where the
 		// unfused pipeline would have stopped forwarding.
@@ -258,13 +260,14 @@ func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
 		vb = it.b
 	}
 	next := it.plan.nodes[1]
-	return nr.p.sendStage(ctx, nr.m, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it})
+	return sendTo(ctx, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it}, nr.m, nr.fl)
 }
 
 // passThrough is a chain member's side of a fused segment: the work already
 // executed elsewhere — device-side for GPU segments, on the head's
 // goroutine for compiled CPU stage-loops — so the member only books its
-// recorded share (metrics, trace, edge counters) and forwards the marker —
+// recorded share (metrics, flight span, edge counters) and forwards the
+// marker —
 // or, at the last executed member, strips it and forwards the final batch
 // normally (recycling compiled markers back to the pipeline's pool).
 func (nr *nodeRunner) passThrough(ctx context.Context, it *workItem) bool {
@@ -278,20 +281,16 @@ func (nr *nodeRunner) passThrough(ctx context.Context, it *workItem) bool {
 	if vb == nil {
 		vb = it.b
 	}
-	nr.p.traceFused(nr.id, vb, it, ms.liveIn)
 	last := i == it.executed-1
+	if it.sampled {
+		// The epoch, placement and segment are the submission's, not the
+		// live table's: the work already ran under them, even when a swap
+		// landed while the marker was in flight.
+		nr.book(vb.ID, ms.liveIn, ms.procNs, it.epoch, it.place, it.segID)
+	}
 	if nr.m != nil {
 		nr.m.batches.Inc()
 		nr.m.pktsIn.Add(uint64(ms.liveIn))
-		if it.sampled {
-			nr.m.proc.Add(float64(ms.procNs))
-			nr.m.procPkts.Add(uint64(ms.liveIn))
-			if nr.fl != nil {
-				end := nr.fl.Now()
-				nr.fl.AddBusy(ms.procNs)
-				nr.fl.Span(vb.ID, ms.liveIn, end-ms.procNs, end)
-			}
-		}
 		if !last {
 			// The tail's output accounting happens in forward below.
 			nr.m.pktsOut.Add(uint64(ms.liveOut))
@@ -300,7 +299,6 @@ func (nr *nodeRunner) passThrough(ctx context.Context, it *workItem) bool {
 			}
 		}
 	}
-	nr.p.trace(TraceExit, nr.id, vb)
 	if last {
 		// ms is a value copy, so the marker can be recycled before the
 		// tail's forward (which may block) touches nothing of it.
@@ -320,7 +318,7 @@ func (nr *nodeRunner) passThrough(ctx context.Context, it *workItem) bool {
 		nr.edgeCtr[0][0].Add(uint64(ms.liveOut))
 	}
 	next := it.plan.nodes[i+1]
-	return nr.p.sendStage(ctx, nr.m, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it})
+	return sendTo(ctx, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it}, nr.m, nr.fl)
 }
 
 // flushLane drains every in-flight offload — the epoch-swap barrier and
@@ -353,7 +351,7 @@ func (nr *nodeRunner) forward(ctx context.Context, b *netpkt.Batch, liveIn int, 
 				nr.m.drops.Add(uint64(liveIn - live))
 			}
 		}
-		return p.send(ctx, nr.m, nr.sinkOut, b)
+		return sendTo(ctx, nr.sinkOut, b, nr.m, nr.fl)
 	}
 	if len(outs) != nr.el.NumOutputs() {
 		p.fail(fmt.Errorf("dataplane: %s emitted %d outputs, declared %d",
@@ -366,8 +364,10 @@ func (nr *nodeRunner) forward(ctx context.Context, b *netpkt.Batch, liveIn int, 
 			continue
 		}
 		live := 0
-		if nr.m != nil {
+		if nr.observed {
 			live = ob.Live()
+		}
+		if nr.m != nil {
 			totalOut += live
 			nr.m.pktsOut.Add(uint64(live))
 		}
@@ -375,7 +375,7 @@ func (nr *nodeRunner) forward(ctx context.Context, b *netpkt.Batch, liveIn int, 
 			if nr.m != nil {
 				nr.edgeCtr[port][t].Add(uint64(live))
 			}
-			if !p.sendStage(ctx, nr.m, p.inbox[to], stageMsg{b: ob, live: live}) {
+			if !sendTo(ctx, p.inbox[to], stageMsg{b: ob, live: live}, nr.m, nr.fl) {
 				return false
 			}
 		}

@@ -84,10 +84,8 @@ func DefaultShards() int {
 type ShardedPipeline struct {
 	cfg    ShardedConfig
 	shards []*Pipeline
-	// start is the shared monotonic origin: every shard's trace clock is
-	// re-based onto it at construction, so TraceEvent.NanosSinceStart values
-	// from different replicas (and across Apply epochs) are comparable on
-	// one timeline.
+	// start is the monotonic origin of the boundary latency stamps and of
+	// the aggregate ElapsedNs.
 	start time.Time
 
 	// Stats counts batches/packets at the sharded boundary: In* at
@@ -156,9 +154,6 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 	// their own shard index (initFlight below), so strip the recorder from
 	// the per-shard config or New would register every shard at lane 0.
 	rec := cfg.Flight
-	if cfg.DisableFlight {
-		rec = nil
-	}
 	inner := cfg.Config
 	inner.Flight = nil
 	var ref *element.Graph
@@ -176,11 +171,6 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: shard %d: %w", i, err)
 		}
-		// Re-base the shard's trace clock onto the sharded origin: replicas
-		// are constructed one after another, and without a shared base their
-		// NanosSinceStart timelines would drift apart by the construction
-		// skew.
-		p.start = sp.start
 		if rec != nil {
 			p.initFlight(rec, i)
 		}

@@ -88,11 +88,23 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Dur:  dur,
 			Pid:  1,
 			Tid:  keys[laneKey{sp.Stage, sp.Lane}],
-			Args: map[string]any{"batch": sp.Batch, "packets": sp.Packets},
+			Args: spanArgs(sp),
 		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(tr)
+}
+
+// spanArgs is a span's Chrome event args: batch and packets, plus the
+// placement fields on element spans.
+func spanArgs(sp *Span) map[string]any {
+	args := map[string]any{"batch": sp.Batch, "packets": sp.Packets}
+	if sp.Placement != "" {
+		args["epoch"] = sp.Epoch
+		args["placement"] = sp.Placement
+		args["segment"] = sp.Segment
+	}
+	return args
 }
 
 // WriteSpans renders the newest n merged spans (0 or negative = all) as

@@ -18,8 +18,9 @@
 //
 // Every method on Recorder, LaneRecorder, and Ledger is safe on a nil
 // receiver and does nothing, so instrumented hot paths call
-// unconditionally and a disabled recorder (Config.DisableFlight /
-// -no-flight) costs one predictable nil check per call site.
+// unconditionally and a disabled recorder (a nil Flight in the dataplane
+// config, -no-flight on the command line) costs one predictable nil check
+// per call site.
 package flight
 
 import (
@@ -46,6 +47,12 @@ const (
 
 // Span is one batch's transit through one stage on one lane. Timestamps
 // are nanoseconds since the recorder's origin (Recorder.Now's zero).
+//
+// Element spans ("nf:" stages) also name the placement the batch ran
+// under, which makes hot-swap atomicity auditable from spans alone: a
+// batch never visits one element twice, and within one epoch an element
+// runs under one placement. Spans on every other stage leave these fields
+// zero, and JSON omits them when zero.
 type Span struct {
 	Stage   string `json:"stage"`
 	Lane    int    `json:"lane"`
@@ -53,6 +60,14 @@ type Span struct {
 	Packets int    `json:"packets"`
 	StartNs int64  `json:"start_ns"`
 	EndNs   int64  `json:"end_ns"`
+	// Epoch is the placement epoch and Placement the resolved placement
+	// ("cpu", "gpu0", "split1:0.40") the element ran the batch under.
+	Epoch     uint64 `json:"epoch,omitempty"`
+	Placement string `json:"placement,omitempty"`
+	// Segment numbers the fused device segment or compiled CPU stage-loop
+	// the element ran in, from 1; 0 means it ran alone. Members of one
+	// fused submission share the number.
+	Segment int `json:"segment,omitempty"`
 }
 
 // Config tunes a Recorder.
@@ -287,6 +302,14 @@ func (l *LaneRecorder) Now() int64 {
 // timestamps. Allocation-free: the span overwrites the oldest slot in the
 // lane's fixed ring.
 func (l *LaneRecorder) Span(batch uint64, packets int, startNs, endNs int64) {
+	l.PlacedSpan(batch, packets, startNs, endNs, 0, "", 0)
+}
+
+// PlacedSpan is Span for element lanes: it also records the placement
+// epoch, placement label, and segment number (see Span) the batch ran
+// under. placement must be a preformatted label, not one built per call.
+func (l *LaneRecorder) PlacedSpan(batch uint64, packets int, startNs, endNs int64,
+	epoch uint64, placement string, segment int) {
 	if l == nil {
 		return
 	}
@@ -294,12 +317,15 @@ func (l *LaneRecorder) Span(batch uint64, packets int, startNs, endNs int64) {
 	l.packets.Add(uint64(packets))
 	l.mu.Lock()
 	l.buf[l.next] = Span{
-		Stage:   l.stage,
-		Lane:    l.lane,
-		Batch:   batch,
-		Packets: packets,
-		StartNs: startNs,
-		EndNs:   endNs,
+		Stage:     l.stage,
+		Lane:      l.lane,
+		Batch:     batch,
+		Packets:   packets,
+		StartNs:   startNs,
+		EndNs:     endNs,
+		Epoch:     epoch,
+		Placement: placement,
+		Segment:   segment,
 	}
 	l.next++
 	if l.next == len(l.buf) {

@@ -180,7 +180,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	r := New(Config{})
 	r.Lane(StageRead, 0).Span(1, 32, 1000, 2000)
 	r.Lane(StageRead, 1).Span(2, 32, 1500, 1500) // zero-width
-	r.Lane("nf:fire wall", 0).Span(1, 32, 2100, 3000)
+	r.Lane("nf:fire wall", 0).PlacedSpan(1, 32, 2100, 3000, 2, "gpu0", 1)
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -192,7 +192,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	var complete, meta int
+	var complete, meta, placed int
 	for _, ev := range tr.TraceEvents {
 		switch ev["ph"] {
 		case "X":
@@ -200,12 +200,23 @@ func TestChromeTraceValidJSON(t *testing.T) {
 			if ev["dur"].(float64) <= 0 {
 				t.Fatalf("complete event with non-positive dur: %v", ev)
 			}
+			args := ev["args"].(map[string]any)
+			_, ok := args["placement"]
+			if ok != (ev["name"] == "nf:fire wall") {
+				t.Fatalf("placement args only belong on element spans: %v", ev)
+			}
+			if ok {
+				placed++
+				if args["placement"] != "gpu0" || args["epoch"] != 2.0 || args["segment"] != 1.0 {
+					t.Fatalf("element span args = %v", args)
+				}
+			}
 		case "M":
 			meta++
 		}
 	}
-	if complete != 3 {
-		t.Fatalf("got %d complete events, want 3", complete)
+	if complete != 3 || placed != 1 {
+		t.Fatalf("got %d complete events (%d placed), want 3 (1)", complete, placed)
 	}
 	if meta < 4 { // process_name + per-track thread_name/thread_sort_index
 		t.Fatalf("got %d metadata events, want >= 4", meta)
@@ -233,6 +244,21 @@ func TestWriteSpansNDJSONTail(t *testing.T) {
 	if sp.Batch != 4 {
 		t.Fatalf("tail should end with newest span, got batch %d", sp.Batch)
 	}
+	if strings.Contains(buf.String(), "placement") {
+		t.Fatalf("non-element spans must omit placement fields: %s", buf.String())
+	}
+
+	buf.Reset()
+	r.Lane("nf:nat", 0).PlacedSpan(9, 4, 10, 20, 3, "split1:0.40", 0)
+	if err := r.WriteSpans(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &sp); err != nil {
+		t.Fatalf("bad NDJSON line: %v", err)
+	}
+	if sp.Epoch != 3 || sp.Placement != "split1:0.40" || sp.Segment != 0 {
+		t.Fatalf("element span lost its placement: %+v", sp)
+	}
 }
 
 // TestRecorderAllocs is the steady-state guard: once lanes and ledger
@@ -248,6 +274,7 @@ func TestRecorderAllocs(t *testing.T) {
 		l.AddBusy(50)
 		l.AddStall(5)
 		l.Span(batch, 64, t0, l.Now())
+		l.PlacedSpan(batch, 64, t0, l.Now(), batch, "cpu", 1)
 		c.Inc()
 		batch++
 	})

@@ -14,6 +14,7 @@ import (
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/stats"
 	"nfcompass/internal/traffic"
@@ -31,12 +32,12 @@ func chainGraph(t *testing.T) *element.Graph {
 	return g
 }
 
-func runPipeline(t *testing.T) (*dataplane.Pipeline, *dataplane.RingTrace, func()) {
+func runPipeline(t *testing.T) (*dataplane.Pipeline, *flight.Recorder, func()) {
 	t.Helper()
 	g := chainGraph(t)
-	ring := dataplane.NewRingTrace(1 << 12)
+	rec := flight.New(flight.Config{})
 	p, err := dataplane.New(g, dataplane.Config{
-		Metrics: true, PreserveOrder: true, Trace: ring,
+		Metrics: true, PreserveOrder: true, Flight: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func runPipeline(t *testing.T) (*dataplane.Pipeline, *dataplane.RingTrace, func(
 			t.Fatal(err)
 		}
 	}
-	return p, ring, finish
+	return p, rec, finish
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -88,11 +89,11 @@ func get(t *testing.T, url string) (int, []byte) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	p, ring, finish := runPipeline(t)
+	p, _, finish := runPipeline(t)
 	finish()
 
 	journal := core.NewDecisionJournal(8)
-	_, ts := newTestServer(t, Config{Source: p, Trace: ring, Journal: journal})
+	_, ts := newTestServer(t, Config{Source: p, Journal: journal})
 
 	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -171,50 +172,50 @@ func TestHealthzLifecycle(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	p, ring, finish := runPipeline(t)
+// TestSpansEndpointLifecycle: a live pipeline's /spans tail is its batch
+// lifecycle record — element spans tagged with the placement they ran
+// under, and release spans — and the retired /trace route is gone.
+func TestSpansEndpointLifecycle(t *testing.T) {
+	p, rec, finish := runPipeline(t)
 	finish()
-	_, ts := newTestServer(t, Config{Source: p, Trace: ring})
+	_, ts := newTestServer(t, Config{Source: p, Flight: rec})
 
-	code, body := get(t, ts.URL+"/trace")
+	code, body := get(t, ts.URL+"/spans")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	n, kinds := 0, map[string]bool{}
+	n, elems, release := 0, 0, 0
 	for sc.Scan() {
-		var ev struct {
-			Kind string `json:"kind"`
-			Ns   int64  `json:"ns"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		var sp flight.Span
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
 			t.Fatalf("line %d: %v", n, err)
 		}
-		if ev.Ns < 0 {
-			t.Errorf("negative timestamp %d", ev.Ns)
+		if sp.StartNs < 0 {
+			t.Errorf("negative timestamp %d", sp.StartNs)
 		}
-		kinds[ev.Kind] = true
+		switch {
+		case strings.HasPrefix(sp.Stage, "nf:"):
+			elems++
+			if sp.Placement != "cpu" || !strings.Contains(sc.Text(), `"placement":"cpu"`) {
+				t.Errorf("element span without its placement: %s", sc.Text())
+			}
+		case sp.Stage == flight.StageRelease:
+			release++
+		}
 		n++
 	}
-	if n == 0 {
-		t.Fatal("no trace events")
-	}
-	for _, k := range []string{"inject", "enter", "exit", "release"} {
-		if !kinds[k] {
-			t.Errorf("missing kind %q (got %v)", k, kinds)
-		}
+	if elems == 0 || release == 0 {
+		t.Fatalf("spans: %d element, %d release of %d", elems, release, n)
 	}
 
-	_, body = get(t, ts.URL+"/trace?n=5")
+	_, body = get(t, ts.URL+"/spans?n=5")
 	if got := strings.Count(string(body), "\n"); got != 5 {
 		t.Errorf("?n=5 returned %d lines", got)
 	}
 
-	// No ring configured: empty stream, not an error.
-	_, ts2 := newTestServer(t, Config{Source: p})
-	code, body = get(t, ts2.URL+"/trace")
-	if code != http.StatusOK || len(body) != 0 {
-		t.Errorf("no-ring trace: code=%d len=%d", code, len(body))
+	if code, _ := get(t, ts.URL+"/trace"); code != http.StatusNotFound {
+		t.Errorf("/trace = %d, want 404 (route retired)", code)
 	}
 }
 
@@ -275,9 +276,9 @@ func TestPprofEndpoint(t *testing.T) {
 }
 
 func TestStartShutdownAndRefresh(t *testing.T) {
-	p, ring, finish := runPipeline(t)
+	p, _, finish := runPipeline(t)
 	journal := core.NewDecisionJournal(4)
-	s, err := New(Config{Source: p, Done: p.Done(), Trace: ring,
+	s, err := New(Config{Source: p, Done: p.Done(),
 		Journal: journal, Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
